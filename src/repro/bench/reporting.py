@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
 
 from ..common.stats import improvement_pct, reduction_pct
 
@@ -130,7 +129,3 @@ class Series:
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
-
-
-def render_all(series: Iterable[Series]) -> str:
-    return "\n\n".join(s.render() for s in series)

@@ -163,16 +163,6 @@ class ZipfianGenerator:
         return [self.next() for _ in range(count)]
 
 
-def scrambled_zipfian(gen: ZipfianGenerator, n: int) -> int:
-    """Draw a Zipfian value and scramble it over the domain.
-
-    YCSB scrambles the hot items across the key space so that hot keys are
-    not clustered; we use the same FNV-style hash.
-    """
-    v = gen.next()
-    return fnv_hash64(v) % n
-
-
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 

@@ -103,11 +103,11 @@ class FaultSpec:
 class ShardFailStop:
     """Fail-stop one serving-cluster shard worker mid-run.
 
-    A process-level fault for :mod:`repro.serve.cluster`: the worker for
+    A process-level fault for :mod:`repro.serve.server`: the worker for
     ``shard`` hard-exits (``os._exit``) upon receiving its
     ``after_epochs``-th epoch, before executing it.  Unlike the
     engine-level ``crash`` kind above (a simulated thread dying inside
-    one engine), this kills a whole engine process; the cluster must
+    one engine), this kills a whole engine process; the server must
     answer every affected admitted transaction with an explicit
     backpressure reject and keep serving the surviving shards.
     """

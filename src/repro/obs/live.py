@@ -101,8 +101,8 @@ def render_dashboard(stats: dict) -> str:
     pipe = stats.get("pipeline")
     if pipe is not None:
         lines.append(
-            f"pipeline: {pipe['in_flight']} in flight (depth "
-            f"{pipe['depth']}, {pipe['staged']} staged)   open epoch "
+            f"pipeline: {pipe['in_flight']} in flight, "
+            f"{pipe['staged']} staged   open epoch "
             f"{stats.get('epoch_open', 0)} txns   executed "
             f"{stats.get('epochs_executed', 0)} epochs   virtual clock "
             f"{stats.get('end_cycles', 0):,} cy"

@@ -307,6 +307,35 @@ class OnlinePolicy:
         if len(self.retunes) > RETUNE_TAIL:
             del self.retunes[:-RETUNE_TAIL]
 
+    def levers(self) -> dict:
+        """The lever fields a shard reports to the coordinator per epoch."""
+        return {
+            "steer_reorders": self.steer_reorders,
+            "defer_boosts": self.defer_boosts,
+            "drift_events": self.drift_events,
+            "retune_events": self.retune_events,
+            "knobs": self.knobs,
+            "retunes": list(self.retunes),
+        }
+
+    def adopt_levers(self, levers: Sequence[dict]) -> None:
+        """Take the lever fields from the shards' own policies.
+
+        A coordinator policy never schedules or retunes, so these fields
+        come from the shards' latest :meth:`levers` reports, given in
+        shard order: counters sum, retune tails interleave by epoch (the
+        last :data:`RETUNE_TAIL` kept), and ``knobs`` are the first
+        reporting shard's.  On one shard every field is that shard's own.
+        """
+        for name in ("steer_reorders", "defer_boosts", "drift_events",
+                     "retune_events"):
+            setattr(self, name, sum(lv[name] for lv in levers))
+        tail = sorted((r for lv in levers for r in lv["retunes"]),
+                      key=lambda r: r["epoch"])
+        self.retunes = tail[-RETUNE_TAIL:]
+        self.knobs = next(
+            (lv["knobs"] for lv in levers if lv["knobs"] is not None), None)
+
     # -- observability -----------------------------------------------------
     def publish(self, registry: "MetricsRegistry") -> None:
         registry.counter("predict.commits_observed").inc(self.commits_observed)

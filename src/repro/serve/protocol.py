@@ -14,15 +14,16 @@ Frame inventory (``c>`` client to server, ``s>`` server to client)::
     s> {"v": ..., "type": "response", "id": 7, "status": "committed",
         "tid": 1042, "epoch": 3, "attempts": 1,
         "latency_ms": {"queue": 1.2, "schedule": 0.8, "execute": 2.9,
-                       "total": 4.9}}
+                       "total": 4.9},
+        "shard": 0, "cross_shard": false}
     s> {"v": ..., "type": "response", "id": 8, "status": "rejected",
         "retry_after_ms": 25.0}
 
-A sharded server (``serve --shards N``) additionally stamps committed
-responses with ``"shard"`` (the executing shard) and ``"cross_shard"``
-(true when the transaction spanned shards and went through the
-epoch-aligned deterministic commit).  Single-engine servers omit both,
-so ``repro.wire/1`` stays backwards compatible either way.
+Every response to an admitted transaction carries ``"shard"`` (the
+executing shard; 0 on a one-shard server) and ``"cross_shard"`` (true
+when the transaction spanned shards and went through the epoch-aligned
+deterministic commit).  A submit rejected before admission carries
+neither.
 
     c> {"v": ..., "type": "stats"}
     s> {"v": ..., "type": "stats", "data": {...}}

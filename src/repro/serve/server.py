@@ -1,36 +1,75 @@
 """The serving front door: asyncio TCP server speaking ``repro.wire/1``.
 
-One server owns one :class:`~repro.serve.pipeline.EpochExecutor` (and
-therefore one persistent database) and an :class:`EpochPipeline` that
-overlaps scheduling with execution.  Connections are cheap: each one is
-a reader loop that decodes frames, admits transactions into the shared
-batcher, and writes responses as epoch outcomes resolve.
+One server class and one dispatch path serve every topology::
 
-Admission control is a single bounded count: transactions admitted but
-not yet responded to.  At ``queue_limit`` the server answers submits
-with ``status="rejected"`` and a ``retry_after_ms`` hint instead of
-queueing unboundedly — the client owns the retry, so an overloaded
-server degrades into explicit backpressure rather than latency collapse.
+    conns -> admit -> classify -> shard 0 batcher \\
+                                  shard 1 batcher  > shared sink -> dispatcher
+                                  ...             /
+                                  cross batcher  /
 
-A ``drain`` frame (or SIGINT on the CLI path) closes the partial epoch,
-waits for every in-flight epoch to finish, writes a ``repro.serve/1``
-artifact, and answers ``drained`` with the session summary.
+    dispatcher: single-shard epoch  -> owning shard (schedule + execute)
+                cross-shard epoch   -> agreed order (coordinator), one
+                                       ordered slice per participant
+
+With ``shards == 1`` the one shard is an :class:`InlineShard`: its
+:class:`~repro.serve.pipeline.EpochExecutor` lives in the server's own
+process behind one worker thread, and the router answers every
+transaction with shard 0 without hashing.  With ``shards > 1`` each
+shard is a :class:`ProcessShard` owning a hash partition of the key
+space (:mod:`.router`) in its own worker process (``shard_mode`` lets
+tests substitute inline shards).  Connections are cheap: each one is a
+reader loop that decodes frames, admits transactions, and writes
+responses as epoch outcomes resolve.
+
+**Admission** is a single bounded count: transactions admitted but not
+yet responded to.  At ``queue_limit`` the server answers submits with
+``status="rejected"`` and a ``retry_after_ms`` hint instead of queueing
+unboundedly — the client owns the retry, so an overloaded server
+degrades into explicit backpressure rather than latency collapse.
+
+**Determinism.**  Epoch ids come from one shared counter drawn at close
+time, and every closed epoch funnels through one sink consumed by one
+dispatcher that *synchronously* queues work on each shard's FIFO channel
+— so each shard receives and executes its epochs in global id order, and
+a replay that walks the recorded epochs in id order
+(:func:`~repro.serve.pipeline.replay_epochs` on one shard,
+:func:`~repro.serve.coordinator.replay_cluster` on N) reconstructs the
+exact per-shard state.  Cross-shard epochs commit in an order fixed by
+``Rng(seed).fork(epoch_id)`` (:mod:`.coordinator`): deterministic, no
+2PC, no aborts.
+
+**Fail-stop.**  A dead shard (chaos: :class:`repro.faults.ShardFailStop`)
+fails its in-flight and future epochs with explicit backpressure
+rejects; surviving shards keep serving, and drain still writes an
+artifact whose ``shards`` section records who died.  Cross-shard
+transactions touching a dead participant are rejected whole; slices a
+surviving participant already executed are *not* rolled back — ordered
+epoch commit removes aborts, not the need for recovery, which stays out
+of scope (docs/sharding.md).
+
+A ``drain`` frame (or SIGINT on the CLI path) closes every partial
+epoch, waits for every in-flight epoch to finish, writes a
+``repro.serve/1`` artifact, and answers ``drained`` with the session
+summary.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Optional
+from typing import Optional, Sequence
 
-from ..common.config import ExperimentConfig, ServeConfig
+from ..common.config import ConfigError, ExperimentConfig, ServeConfig
 from ..common.stats import percentile
 from ..obs.artifact import build_serve_artifact, export_serve
 from ..obs.live import SlidingWindow
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import JsonlTracer
-from .batcher import EpochBatcher, Submission
-from .pipeline import EpochExecutor, EpochPipeline, TxnOutcome, state_digest
+from ..predict.policy import make_policy
+from ..predict.sketch import DecayedCountMinSketch
+from .batcher import Epoch, EpochBatcher, Submission
+from .coordinator import agreed_order, slice_epoch
+from .pipeline import EpochSpan, TxnOutcome, state_digest
 from .protocol import (
     CLIENT_FRAMES,
     MAX_FRAME_BYTES,
@@ -43,6 +82,8 @@ from .protocol import (
     response_frame,
     txn_from_wire,
 )
+from .router import RouteDecision, ShardRouter
+from .shard import InlineShard, ProcessShard, ShardDeadError
 
 #: Wall-ms histogram buckets for epoch and response latencies.
 SERVE_MS_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
@@ -53,7 +94,7 @@ EPOCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1_024, 2_048)
 
 
 class ServeServer:
-    """A live scheduling service over one persistent simulated store."""
+    """A live scheduling service over ``serve.shards`` engine shards."""
 
     def __init__(
         self,
@@ -62,7 +103,30 @@ class ServeServer:
         export_path: Optional[str] = None,
         exit_on_drain: bool = False,
         trace_path: Optional[str] = None,
+        shard_mode: Optional[str] = None,
+        shard_faults: Sequence = (),
     ):
+        if shard_mode is None:
+            shard_mode = "inline" if serve.shards == 1 else "process"
+        if shard_mode not in ("process", "inline"):
+            raise ConfigError(
+                f"shard_mode must be 'process' or 'inline', got {shard_mode!r}"
+            )
+        if trace_path is not None and (serve.shards > 1
+                                       or shard_mode != "inline"):
+            raise ConfigError(
+                "span tracing needs the one in-process shard of "
+                "--shards 1; shard workers cannot stream into its sink"
+            )
+        #: shard id -> fail_after_epochs, from ShardFailStop chaos specs.
+        fail_after = {}
+        for fault in shard_faults:
+            if fault.shard >= serve.shards:
+                raise ConfigError(
+                    f"ShardFailStop names shard {fault.shard}; "
+                    f"server has {serve.shards}"
+                )
+            fail_after[fault.shard] = fault.after_epochs
         self.serve = serve
         self.exp = exp
         self.export_path = export_path
@@ -70,14 +134,77 @@ class ServeServer:
         #: first drain frame (the CI smoke path: loadgen --drain ends
         #: the whole session).
         self.exit_on_drain = exit_on_drain
+        self.shard_mode = shard_mode
         #: Optional JSONL span log: engine events plus one "epoch" event
         #: per executed epoch, consumable by ``repro trace --chrome``.
         self.tracer = JsonlTracer(trace_path) if trace_path else None
         self.metrics = MetricsRegistry()
-        self._build_backend()
+        self.router = ShardRouter(serve.shards)
+        self.shards = [
+            InlineShard(s, serve, exp, fail_after_epochs=fail_after.get(s),
+                        tracer=self.tracer)
+            if shard_mode == "inline" else
+            ProcessShard(s, serve, exp, fail_after_epochs=fail_after.get(s))
+            for s in range(serve.shards)
+        ]
+        self._next_epoch_id = 0
+        #: All closed epochs, every batcher, one queue: the dispatcher
+        #: consumes them in close order == shared-counter id order.
+        self._sink: asyncio.Queue = asyncio.Queue()
+        self.shard_batchers = [
+            EpochBatcher(
+                serve.epoch_max_txns, serve.epoch_max_ms,
+                id_source=self._draw_epoch_id, sink=self._sink,
+                meta={"shard": s},
+            )
+            for s in range(serve.shards)
+        ]
+        self.cross_batcher = EpochBatcher(
+            serve.epoch_max_txns, serve.epoch_max_ms,
+            id_source=self._draw_epoch_id, sink=self._sink,
+            meta={"cross": True},
+        )
+        self._all_batchers = [*self.shard_batchers, self.cross_batcher]
+        #: tid -> RouteDecision for admitted, not yet answered txns
+        #: (cross slicing reads it); the entry goes when the txn's
+        #: outcome is settled, so the map is bounded by admission.
+        self._routes: dict[int, RouteDecision] = {}
+        #: (epoch_id, shard | None, cross, tids) when record_epoch_tids:
+        #: exactly what replay_cluster needs to reconstruct the run.
+        self.epoch_records: list[tuple] = []
+        #: One span per executed (or failed) epoch, in completion order.
+        self.spans: list[EpochSpan] = []
+        #: shard id -> final database state, captured at drain.
+        self._shard_states: dict[int, dict] = {}
+        #: Aliveness at the moment of drain: stopping a worker closes
+        #: its pipe just like a crash would, so the artifact must
+        #: record who was alive *before* shutdown tore everyone down.
+        self._alive_at_drain: Optional[dict[int, bool]] = None
+        self._dispatch_task: Optional[asyncio.Task] = None
+        self._epoch_tasks: set = set()
+
+        #: Coordinator-side adaptive view (repro.predict), or None for a
+        #: static server.  Each shard adapts locally (its EpochExecutor
+        #: builds its own policy from exp.predict) and reports its lever
+        #: fields with every epoch result; the coordinator keeps one
+        #: sketch per shard — fed from the commit outcomes it already
+        #: holds, so no extra wire traffic — and merges them at every
+        #: epoch boundary for admission shedding and the predict section.
+        self.policy = make_policy(exp.predict, exp.seed)
+        self._shard_sketches: dict[int, DecayedCountMinSketch] = {}
+        #: shard id -> the shard policy's latest lever report.
+        self._shard_levers: dict[int, dict] = {}
+        if self.policy is not None:
+            p = exp.predict
+            self._shard_sketches = {
+                s: DecayedCountMinSketch(
+                    width=p.width, depth=p.depth, decay=p.decay,
+                    seed=exp.seed, hot_capacity=p.hot_capacity,
+                )
+                for s in range(serve.shards)
+            }
 
         self._server: Optional[asyncio.base_events.Server] = None
-        self._pipeline_task: Optional[asyncio.Task] = None
         self._conn_tasks: set = set()
         self._started = 0.0
         self._next_tid = 0
@@ -100,45 +227,10 @@ class ServeServer:
         self._drained = asyncio.Event()
         self._draining = False
 
-    # -- backend hooks (overridden by the sharded cluster) ----------------
-    def _build_backend(self) -> None:
-        """Construct the execution backend: one executor, one batcher."""
-        self.executor = EpochExecutor(self.serve, self.exp, tracer=self.tracer)
-        self.batcher = EpochBatcher(
-            self.serve.epoch_max_txns, self.serve.epoch_max_ms
-        )
-        self.pipeline = EpochPipeline(
-            self.executor,
-            self.batcher,
-            pipeline_depth=self.serve.pipeline_depth,
-            on_epoch=self._on_epoch,
-            record_tids=self.serve.record_epoch_tids,
-        )
-
-    def _start_backend(self) -> None:
-        """Kick off the backend's consumer task(s) on the running loop."""
-        self._pipeline_task = asyncio.create_task(self.pipeline.run())
-
-    async def _drain_backend(self) -> None:
-        """Flush open epochs and wait for every in-flight one to finish."""
-        self.batcher.shutdown()
-        await self._pipeline_task
-
-    def _dispatch(self, sub: Submission) -> None:
-        """Hand an admitted submission to the backend."""
-        self.batcher.put(sub)
-
-    def _state_digest(self) -> str:
-        """Canonical digest of commits + final db state (request-id space)."""
-        return state_digest(
-            self._commit_req_ids,
-            self.executor.database_state(),
-            self._tid_req,
-        )
-
-    def _admission_policy(self):
-        """The adaptive policy consulted at admission, or None (static)."""
-        return self.executor.policy
+    def _draw_epoch_id(self) -> int:
+        eid = self._next_epoch_id
+        self._next_epoch_id += 1
+        return eid
 
     # -- lifecycle --------------------------------------------------------
     @property
@@ -156,7 +248,9 @@ class ServeServer:
             port=self.serve.port,
             limit=MAX_FRAME_BYTES + 1_024,
         )
-        self._start_backend()
+        for shard in self.shards:
+            shard.start()
+        self._dispatch_task = asyncio.create_task(self._dispatch_loop())
 
     async def serve_forever(self) -> None:
         """Run until the listener is closed (drain with exit_on_drain)."""
@@ -182,26 +276,43 @@ class ServeServer:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
 
     async def drain(self) -> dict:
-        """Flush the open epoch, finish in-flight work, write the artifact."""
+        """Flush open epochs, finish in-flight work, write the artifact."""
         if not self._drained.is_set():
             if not self._draining:
                 self._draining = True
-                await self._drain_backend()
+                await self._drain_shards()
                 if self.tracer is not None:
                     self.tracer.close()
-                policy = self._admission_policy()
-                if policy is not None:
+                if self.policy is not None:
                     # Final predict.* counters/gauges for the artifact's
                     # metrics registry (live values ride the stats frame).
-                    policy.publish(self.metrics)
+                    self.policy.publish(self.metrics)
                 # Set before exporting so the artifact's summary carries
                 # the post-drain state digest.
                 self._drained.set()
                 if self.export_path is not None:
-                    self._export(self.export_path)
+                    export_serve(self.export_path, **self._artifact_fields())
             else:
                 await self._drained.wait()
         return self.summary()
+
+    async def _drain_shards(self) -> None:
+        for batcher in self._all_batchers:
+            batcher.shutdown()
+        await self._dispatch_task
+        self._alive_at_drain = {s.shard_id: bool(s.alive)
+                                for s in self.shards}
+        for shard in self.shards:
+            if not shard.alive:
+                continue
+            try:
+                self._shard_states[shard.shard_id] = (
+                    await shard.database_state()
+                )
+            except ShardDeadError:
+                pass  # died between the last epoch and drain
+        for shard in self.shards:
+            await shard.stop()
 
     # -- per-connection reader loop --------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
@@ -271,8 +382,7 @@ class ServeServer:
         except WireError as e:
             writer.write(encode_frame(error_frame(str(e))))
             return
-        policy = self._admission_policy()
-        if policy is not None and policy.should_reject(
+        if self.policy is not None and self.policy.should_reject(
             txn, self._pending / max(1, self.serve.queue_limit)
         ):
             # Priority admission band: with the queue running hot, shed
@@ -304,7 +414,23 @@ class ServeServer:
         future.add_done_callback(
             lambda fut, sub=sub: self._respond(sub, fut)
         )
-        self._dispatch(sub)
+        self._route(sub)
+
+    def _route(self, sub: Submission) -> None:
+        """Hand an admitted submission to its shard's (or cross) batcher."""
+        decision = self.router.classify(sub.txn)
+        self._routes[sub.tid] = decision
+        if decision.cross:
+            if all(self.shards[s].alive for s in decision.shards):
+                self.cross_batcher.put(sub)
+            else:
+                self._reject_submission(sub, decision.home, cross=True)
+        elif self.shards[decision.home].alive:
+            self.shard_batchers[decision.home].put(sub)
+        else:
+            # The owning shard is gone: reject at dispatch rather than
+            # batching toward a worker that can never answer.
+            self._reject_submission(sub, decision.home, cross=False)
 
     def _reject_now(self, req_id: int, writer) -> None:
         """Backpressure a submit before admission (bounded queue / drain)."""
@@ -369,15 +495,252 @@ class ServeServer:
             cross_shard=outcome.cross_shard,
         )))
 
-    # -- pipeline callback -------------------------------------------------
-    def _on_epoch(self, epoch, outcome, span) -> None:
+    # -- the dispatcher ---------------------------------------------------
+    async def _dispatch_loop(self) -> None:
+        """Single consumer of the shared sink; begins epochs in id order.
+
+        ``_begin_*`` are synchronous through the point where each
+        participant's FIFO position is fixed, which is what makes
+        per-shard execution order equal global epoch-id order.
+        """
+        open_streams = len(self._all_batchers)
+        while open_streams:
+            epoch = await self._sink.get()
+            if epoch is None:
+                open_streams -= 1
+                continue
+            if epoch.meta.get("cross"):
+                self._begin_cross_epoch(epoch)
+            else:
+                self._begin_shard_epoch(epoch, epoch.meta["shard"])
+        if self._epoch_tasks:
+            await asyncio.gather(*self._epoch_tasks)
+
+    def _track(self, coro) -> None:
+        task = asyncio.create_task(coro)
+        self._epoch_tasks.add(task)
+        task.add_done_callback(self._epoch_tasks.discard)
+
+    def _begin_shard_epoch(self, epoch: Epoch, shard_id: int) -> None:
+        if self.serve.record_epoch_tids:
+            self.epoch_records.append(
+                (epoch.epoch_id, shard_id, False,
+                 [s.tid for s in epoch.subs])
+            )
+        begun = time.monotonic()
+        fut = self.shards[shard_id].begin_epoch(
+            epoch.epoch_id, epoch.transactions()
+        )
+        self._track(self._finish_shard_epoch(epoch, shard_id, fut, begun))
+
+    async def _finish_shard_epoch(
+        self, epoch: Epoch, shard_id: int, fut: asyncio.Future, begun: float
+    ) -> None:
+        try:
+            result = await fut
+        except ShardDeadError:
+            self._fail_epoch(epoch, shard_id, cross=False, begun=begun)
+            return
+        span = self._record_span(
+            epoch, shard_id, cross=False,
+            stamps=(result.sched_start, result.sched_end,
+                    result.exec_start, result.exec_end),
+            start_cycles=result.start_cycles, end_cycles=result.end_cycles,
+            committed=len(result.attempts), aborts=result.aborts,
+        )
+        self._feed_predict(epoch, {shard_id: result}, lambda tid: shard_id)
+        for sub in epoch.subs:
+            self._resolve_sub(sub, span, result.attempts, shard=shard_id,
+                              cross=False)
+
+    def _begin_cross_epoch(self, epoch: Epoch) -> None:
+        txns = epoch.transactions()
+        ordered = agreed_order(txns, self.exp.seed, epoch.epoch_id)
+        homes = {t.tid: self._routes[t.tid].home for t in txns}
+        participants = sorted(
+            {s for t in txns for s in self._routes[t.tid].shards}
+        )
+        if self.serve.record_epoch_tids:
+            self.epoch_records.append(
+                (epoch.epoch_id, None, True, [s.tid for s in epoch.subs])
+            )
+        slices = slice_epoch(ordered, participants, homes, self.router)
+        begun = time.monotonic()
+        futs = {
+            s: self.shards[s].begin_epoch(epoch.epoch_id, slices[s],
+                                          cross=True)
+            for s in participants if slices[s]
+        }
+        self._track(
+            self._finish_cross_epoch(epoch, homes, futs, begun)
+        )
+
+    async def _finish_cross_epoch(
+        self,
+        epoch: Epoch,
+        homes: dict[int, int],
+        futs: dict[int, asyncio.Future],
+        begun: float,
+    ) -> None:
+        results = await asyncio.gather(*futs.values(),
+                                       return_exceptions=True)
+        if any(isinstance(r, BaseException) for r in results):
+            # A participant died: the epoch cannot commit atomically, so
+            # every transaction in it is rejected (see module docstring
+            # for the surviving-slice caveat).
+            self._fail_epoch(epoch, None, cross=True, begun=begun,
+                             homes=homes)
+            return
+        attempts: dict[int, int] = {}
+        for result in results:
+            for tid, n in result.attempts.items():
+                attempts[tid] = max(attempts.get(tid, 0), n)
+        # No scheduling stage: a zero-width schedule window at the first
+        # participant's execution start.
+        start = min(r.exec_start for r in results)
+        span = self._record_span(
+            epoch, None, cross=True,
+            stamps=(start, start, start, max(r.exec_end for r in results)),
+            start_cycles=min(r.start_cycles for r in results),
+            end_cycles=max(r.end_cycles for r in results),
+            committed=len(attempts),
+            aborts=sum(r.aborts for r in results),
+        )
+        self._feed_predict(epoch, dict(zip(futs, results)),
+                           lambda tid: homes[tid])
+        for sub in epoch.subs:
+            self._resolve_sub(sub, span, attempts, shard=homes[sub.tid],
+                              cross=True)
+
+    def _feed_predict(self, epoch: Epoch, reports: dict, shard_of) -> None:
+        """Fold an epoch's committed write sets into the per-shard
+        sketches, refresh the coordinator's merged view, and adopt the
+        participants' latest lever reports (shard id -> result)."""
+        policy = self.policy
+        if policy is None:
+            return
+        for s, result in reports.items():
+            self._shard_levers[s] = result.levers
+        committed = set().union(*(r.attempts for r in reports.values()))
+        for sub in epoch.subs:
+            if sub.tid in committed:
+                policy.commits_observed += 1
+                sketch = self._shard_sketches[shard_of(sub.tid)]
+                for key in sub.txn.write_set:
+                    sketch.update(key)
+        for sketch in self._shard_sketches.values():
+            sketch.decay()
+        policy.adopt_merged(self._shard_sketches.values())
+        policy.adopt_levers(
+            [self._shard_levers[s] for s in sorted(self._shard_levers)])
+
+    # -- outcome plumbing -------------------------------------------------
+    def _settle(self, sub: Submission, outcome: TxnOutcome) -> None:
+        """Answer one admitted submission; its route is no longer needed."""
+        self._routes.pop(sub.tid, None)
+        if sub.future is not None and not sub.future.done():
+            sub.future.set_result(outcome)
+
+    def _resolve_sub(
+        self,
+        sub: Submission,
+        span: EpochSpan,
+        attempts: dict[int, int],
+        shard: int,
+        cross: bool,
+    ) -> None:
+        self._settle(sub, TxnOutcome(
+            tid=sub.tid,
+            epoch_id=span.epoch_id,
+            attempts=attempts.get(sub.tid, 1),
+            queue_s=span.sched_start - sub.submitted_at,
+            schedule_s=span.sched_end - span.sched_start,
+            execute_s=span.exec_end - span.exec_start,
+            shard=shard,
+            cross_shard=cross,
+        ))
+
+    def _reject_submission(
+        self, sub: Submission, shard: int, cross: bool
+    ) -> None:
+        """Late backpressure: admitted, but the owning shard is dead."""
+        self._settle(sub, TxnOutcome(
+            tid=sub.tid,
+            epoch_id=-1,
+            attempts=0,
+            queue_s=time.monotonic() - sub.submitted_at,
+            schedule_s=0.0,
+            execute_s=0.0,
+            shard=shard,
+            cross_shard=cross,
+            status=STATUS_REJECTED,
+        ))
+
+    def _fail_epoch(
+        self,
+        epoch: Epoch,
+        shard_id: Optional[int],
+        cross: bool,
+        begun: float,
+        homes: Optional[dict[int, int]] = None,
+    ) -> None:
+        self._record_span(
+            epoch, shard_id, cross=cross,
+            stamps=(begun, begun, begun, time.monotonic()),
+            start_cycles=0, end_cycles=0, committed=0, aborts=0,
+        )
+        for sub in epoch.subs:
+            self._reject_submission(
+                sub,
+                shard_id if shard_id is not None else homes[sub.tid],
+                cross=cross,
+            )
+
+    def _record_span(
+        self,
+        epoch: Epoch,
+        shard_id: Optional[int],
+        cross: bool,
+        stamps: tuple[float, float, float, float],
+        start_cycles: int,
+        end_cycles: int,
+        committed: int,
+        aborts: int,
+    ) -> EpochSpan:
+        sched_start, sched_end, exec_start, exec_end = stamps
+        span = EpochSpan(
+            epoch_id=epoch.epoch_id,
+            size=epoch.size,
+            reason=epoch.reason,
+            opened_at=epoch.opened_at,
+            closed_at=epoch.closed_at,
+            sched_start=sched_start,
+            sched_end=sched_end,
+            exec_start=exec_start,
+            exec_end=exec_end,
+            start_cycles=start_cycles,
+            end_cycles=end_cycles,
+            committed=committed,
+            aborts=aborts,
+            shard=shard_id if shard_id is not None else -1,
+            cross=cross,
+            tids=([s.tid for s in epoch.subs]
+                  if self.serve.record_epoch_tids else None),
+        )
+        self.spans.append(span)
+        where = "cross" if cross else f"shard{shard_id}"
         self.metrics.counter("serve.epochs", "epochs executed").inc()
         self.metrics.counter(
-            "serve.epoch_aborts", "CC aborts across all epochs"
-        ).inc(outcome.aborts)
+            f"serve.{where}.epochs", "epochs executed by this shard"
+        ).inc()
         self.metrics.counter(
-            f"serve.epochs_closed.{epoch.reason}",
-            "epochs by close reason",
+            f"serve.{where}.committed", "transactions committed on this shard"
+        ).inc(committed)
+        self.metrics.counter(
+            "serve.epoch_aborts", "CC aborts across all epochs"
+        ).inc(aborts)
+        self.metrics.counter(
+            f"serve.epochs_closed.{epoch.reason}", "epochs by close reason"
         ).inc()
         self.metrics.histogram(
             "serve.epoch_size", EPOCH_SIZE_BUCKETS,
@@ -386,20 +749,24 @@ class ServeServer:
         self.metrics.histogram(
             "serve.epoch_ms", SERVE_MS_BUCKETS,
             "epoch wall time, first admission to execution end",
-        ).observe((span.exec_end - span.opened_at) * 1_000.0)
-        self.metrics.gauge(
-            "serve.inflight_epochs", "epochs inside the pipeline"
-        ).set(self.pipeline.in_flight)
+        ).observe((exec_end - epoch.opened_at) * 1_000.0)
+        return span
 
-    # -- introspection -----------------------------------------------------
+    # -- introspection ----------------------------------------------------
+    @property
+    def end_cycles(self) -> int:
+        """Max virtual-clock cursor over the shards (they tick apart)."""
+        return max(s.end_cycles for s in self.shards)
+
     def stats(self) -> dict:
         """The enriched ``stats`` frame: totals plus live telemetry.
 
         The flat keys predate enrichment and stay for compatibility;
         ``window`` (sliding-window latency quantiles), ``pipeline``
-        (stage occupancy), ``admission`` (backpressure state),
-        ``epochs_by_reason``, and the full ``metrics`` registry snapshot
-        feed ``repro watch`` (see repro.obs.live).
+        (epochs in flight and closed-but-undispatched), ``admission``
+        (backpressure state), ``epochs_by_reason``, ``shards`` and the
+        full ``metrics`` registry snapshot feed ``repro watch`` (see
+        repro.obs.live).
         """
         doc = {
             "submitted": self._submitted,
@@ -407,31 +774,37 @@ class ServeServer:
             "rejected": self._rejected,
             "committed": self._committed,
             "pending": self._pending,
-            "epoch_open": self.batcher.pending,
-            "epochs_closed": self.batcher.epochs_closed,
-            "epochs_executed": len(self.pipeline.spans),
-            "end_cycles": self.executor.clock,
+            "epoch_open": sum(b.pending for b in self._all_batchers),
+            "epochs_closed": sum(b.epochs_closed for b in self._all_batchers),
+            "epochs_executed": len(self.spans),
+            "end_cycles": self.end_cycles,
             "uptime_s": round(time.monotonic() - self._started, 3),
             "window": self._latency_window.snapshot(),
             "pipeline": {
-                "in_flight": self.pipeline.in_flight,
-                "depth": self.pipeline.pipeline_depth,
-                "staged": self.pipeline.staged,
+                "in_flight": len(self._epoch_tasks),
+                "staged": self._sink.qsize(),
             },
             "admission": {
                 "pending": self._pending,
                 "queue_limit": self.serve.queue_limit,
                 "rejected": self._rejected,
             },
-            "epochs_by_reason": dict(self.batcher.closed_by_reason),
+            "epochs_by_reason": self._reasons(),
+            "shards": self._shards_section(),
             "metrics": self.metrics.to_dict(),
         }
-        policy = self._admission_policy()
-        if policy is not None:
+        if self.policy is not None:
             # Live sketch heat + retune trail for `repro watch`; the key
             # is absent on static servers so their frame is unchanged.
-            doc["predict"] = policy.snapshot()
+            doc["predict"] = self.policy.snapshot()
         return doc
+
+    def _reasons(self) -> dict:
+        merged: dict[str, int] = {}
+        for batcher in self._all_batchers:
+            for reason, n in batcher.closed_by_reason.items():
+                merged[reason] = merged.get(reason, 0) + n
+        return merged
 
     def summary(self) -> dict:
         lat = sorted(self._response_ms)
@@ -440,8 +813,8 @@ class ServeServer:
             "admitted": self._admitted,
             "rejected": self._rejected,
             "committed": self._committed,
-            "epochs": len(self.pipeline.spans),
-            "end_cycles": self.executor.clock,
+            "epochs": len(self.spans),
+            "end_cycles": self.end_cycles,
             "wall_s": round(time.monotonic() - self._started, 3),
             "latency_ms": {
                 "p50": round(float(percentile(lat, 0.50)), 3),
@@ -449,10 +822,13 @@ class ServeServer:
                 "p99": round(float(percentile(lat, 0.99)), 3),
             },
         }
-        # Only a quiesced store has a meaningful digest (and reading it
-        # mid-run would race the execute stage).
+        # Only quiesced shards have a meaningful digest.
         if self._drained.is_set():
-            doc["state_digest"] = self._state_digest()
+            merged: dict = {}
+            for state in self._shard_states.values():
+                merged.update(state)
+            doc["state_digest"] = state_digest(
+                self._commit_req_ids, merged, self._tid_req)
         return doc
 
     def server_info(self) -> dict:
@@ -464,30 +840,38 @@ class ServeServer:
             "epoch_max_ms": self.serve.epoch_max_ms,
             "queue_limit": self.serve.queue_limit,
             "assignment": self.serve.assignment,
-            "pipeline_depth": self.serve.pipeline_depth,
+            "shards": self.serve.shards,
+            "shard_mode": self.shard_mode,
         }
 
-    def _predict_section(self) -> Optional[dict]:
-        policy = self._admission_policy()
-        return policy.snapshot() if policy is not None else None
+    def _shards_section(self) -> dict:
+        alive = self._alive_at_drain
+        return {
+            "count": self.serve.shards,
+            "per_shard": [
+                {
+                    "shard": shard.shard_id,
+                    "alive": (bool(shard.alive) if alive is None
+                              else alive[shard.shard_id]),
+                    "epochs": shard.epochs_done,
+                    "committed": shard.committed,
+                    "aborts": shard.aborts,
+                    "end_cycles": shard.end_cycles,
+                }
+                for shard in self.shards
+            ],
+        }
+
+    def _artifact_fields(self) -> dict:
+        return {
+            "server_info": self.server_info(),
+            "summary": self.summary(),
+            "epochs": [span.to_dict() for span in self.spans],
+            "metrics": self.metrics,
+            "config": self.exp,
+            "shards": self._shards_section(),
+            "predict": self.policy.snapshot() if self.policy else None,
+        }
 
     def artifact(self) -> dict:
-        return build_serve_artifact(
-            self.server_info(),
-            self.summary(),
-            [span.to_dict() for span in self.pipeline.spans],
-            metrics=self.metrics,
-            config=self.exp,
-            predict=self._predict_section(),
-        )
-
-    def _export(self, path: str) -> dict:
-        return export_serve(
-            path,
-            self.server_info(),
-            self.summary(),
-            [span.to_dict() for span in self.pipeline.spans],
-            metrics=self.metrics,
-            config=self.exp,
-            predict=self._predict_section(),
-        )
+        return build_serve_artifact(**self._artifact_fields())

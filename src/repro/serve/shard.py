@@ -1,4 +1,4 @@
-"""One engine shard of the serving cluster: a worker owning a partition.
+"""One engine shard of the server: a worker owning a key partition.
 
 A shard is an :class:`~repro.serve.pipeline.EpochExecutor` — one TSKD
 instance, one persistent :class:`~repro.storage.database.Database`, one
@@ -14,21 +14,29 @@ share the interface:
   event loop, and sends go through a one-thread executor so a pipe full
   of epochs never blocks the loop.
 
-* :class:`InlineShard` — the executor lives in-process behind a
-  one-thread pool.  Bit-identical outcomes (the TSKD pipeline is
-  hash-seed independent — the contract the parallel-bench differential
-  enforces), handy for tests and debugging without process spin-up.
+* :class:`InlineShard` — the executor lives in the server's own process
+  behind a one-thread pool.  This is the one shard of a ``--shards 1``
+  server, the only topology that can stream engine spans into the
+  server's tracer.  Outcomes are bit-identical to the process variant
+  (the TSKD pipeline is hash-seed independent — the contract the
+  parallel-bench differential enforces), so tests also use it to run N
+  shards without process spin-up.
+
+Both run each epoch through :func:`run_epoch`, which stamps
+``time.monotonic()`` around the schedule and execute stages; the
+server turns those stamps into epoch spans and per-transaction latency
+splits.
 
 Ordering contract (what determinism rests on): ``begin_epoch`` is
 synchronous and the channel is FIFO, so a shard receives — and executes,
-one at a time — its epochs in exactly the order the cluster dispatcher
-began them.  Replay feeds the same slices in the same order to a fresh
+one at a time — its epochs in exactly the order the dispatcher began
+them.  Replay feeds the same slices in the same order to a fresh
 executor and lands on the same state (see docs/sharding.md).
 
 Fail-stop: a worker built with ``fail_after_epochs=K`` hard-exits
 (``os._exit``) on *receiving* its K-th epoch.  The parent notices the
 pipe going down, marks the shard dead, and fails every in-flight and
-future ``begin_epoch`` with :class:`ShardDeadError` — the cluster turns
+future ``begin_epoch`` with :class:`ShardDeadError` — the server turns
 those into explicit backpressure rejects (never silence).
 """
 
@@ -37,6 +45,7 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -68,6 +77,47 @@ class ShardEpochResult:
     start_cycles: int
     end_cycles: int
     aborts: int
+    #: Worker-side ``time.monotonic()`` stamps around the two stages; a
+    #: cross-shard slice is not scheduled, so its schedule window is
+    #: zero-width at ``exec_start``.
+    sched_start: float
+    sched_end: float
+    exec_start: float
+    exec_end: float
+    #: The shard policy's lever fields (:meth:`OnlinePolicy.levers`), or
+    #: None when prediction is off.
+    levers: Optional[dict] = None
+
+
+def run_epoch(
+    executor: EpochExecutor,
+    epoch_id: int,
+    txns: Sequence[Transaction],
+    cross: bool,
+) -> ShardEpochResult:
+    """Schedule and execute one epoch (or run one cross slice serially)."""
+    sched_start = time.monotonic()
+    if cross:
+        sched_end = sched_start
+        outcome = executor.execute_serial(txns, epoch_id)
+    else:
+        plan = executor.schedule(txns, epoch_id)
+        sched_end = time.monotonic()
+        outcome = executor.execute(plan, epoch_id)
+    exec_end = time.monotonic()
+    policy = executor.policy
+    return ShardEpochResult(
+        epoch_id=epoch_id,
+        attempts=outcome.attempts,
+        start_cycles=outcome.start_cycles,
+        end_cycles=outcome.end_cycles,
+        aborts=outcome.aborts,
+        sched_start=sched_start,
+        sched_end=sched_end,
+        exec_start=sched_end,
+        exec_end=exec_end,
+        levers=policy.levers() if policy is not None else None,
+    )
 
 
 def _shard_worker_main(
@@ -94,20 +144,9 @@ def _shard_worker_main(
                 # it. os._exit skips atexit/flush like a real crash.
                 os._exit(1)
             _, epoch_id, txns = msg
-            if kind == _MSG_EPOCH:
-                plan = executor.schedule(txns, epoch_id)
-                outcome = executor.execute(plan, epoch_id)
-            else:
-                outcome = executor.execute_serial(txns, epoch_id)
             conn.send((
                 "epoch_done",
-                ShardEpochResult(
-                    epoch_id=epoch_id,
-                    attempts=outcome.attempts,
-                    start_cycles=outcome.start_cycles,
-                    end_cycles=outcome.end_cycles,
-                    aborts=outcome.aborts,
-                ),
+                run_epoch(executor, epoch_id, txns, kind == _MSG_CROSS),
             ))
         elif kind == _MSG_STATE:
             conn.send(("state", executor.database_state()))
@@ -287,25 +326,29 @@ class InlineShard:
         serve: ServeConfig,
         exp: ExperimentConfig,
         fail_after_epochs: Optional[int] = None,
+        tracer=None,
     ):
         self.shard_id = shard_id
         self.serve = serve
         self.exp = exp
         self.fail_after_epochs = fail_after_epochs
+        #: Span sink handed to the executor (``serve --trace``).
+        self.tracer = tracer
         self.alive = False
         self.epochs_begun = 0
         self.epochs_done = 0
         self.committed = 0
         self.aborts = 0
         self.end_cycles = 0
-        self._executor: Optional[EpochExecutor] = None
+        self.executor: Optional[EpochExecutor] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._received = 0
 
     def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._executor = EpochExecutor(self.serve, self.exp)
+        self.executor = EpochExecutor(self.serve, self.exp,
+                                       tracer=self.tracer)
         self._pool = ThreadPoolExecutor(
             1, thread_name_prefix=f"shard{self.shard_id}"
         )
@@ -331,21 +374,6 @@ class InlineShard:
             ))
             return fut
         self.epochs_begun += 1
-        batch = list(txns)
-
-        def run() -> ShardEpochResult:
-            if cross:
-                outcome = self._executor.execute_serial(batch, epoch_id)
-            else:
-                plan = self._executor.schedule(batch, epoch_id)
-                outcome = self._executor.execute(plan, epoch_id)
-            return ShardEpochResult(
-                epoch_id=epoch_id,
-                attempts=outcome.attempts,
-                start_cycles=outcome.start_cycles,
-                end_cycles=outcome.end_cycles,
-                aborts=outcome.aborts,
-            )
 
         def done(inner):
             try:
@@ -361,7 +389,8 @@ class InlineShard:
             if not fut.done():
                 fut.set_result(result)
 
-        inner = self._pool.submit(run)
+        inner = self._pool.submit(run_epoch, self.executor, epoch_id,
+                                  list(txns), cross)
         inner.add_done_callback(
             lambda f: self._loop.call_soon_threadsafe(done, f)
         )
@@ -371,7 +400,7 @@ class InlineShard:
         if not self.alive:
             raise ShardDeadError(f"shard {self.shard_id} is dead")
         return await self._loop.run_in_executor(
-            self._pool, self._executor.database_state
+            self._pool, self.executor.database_state
         )
 
     async def stop(self) -> None:

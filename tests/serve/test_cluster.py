@@ -20,7 +20,6 @@ from repro.faults import ShardFailStop
 from repro.obs import load_artifact, validate_serve_artifact
 from repro.serve import (
     STATUS_COMMITTED,
-    ClusterServer,
     ServeServer,
     run_loadgen,
     txn_to_wire,
@@ -43,7 +42,7 @@ def cluster_cfg(shards=3, **kw):
 
 async def start_cluster(serve, exp=EXP, **kw):
     kw.setdefault("shard_mode", "inline")
-    server = ClusterServer(serve, exp, **kw)
+    server = ServeServer(serve, exp, **kw)
     await server.start()
     return server
 
@@ -121,20 +120,21 @@ class TestClusterE2E:
             await server.stop()
         asyncio.run(run())
 
-    def test_single_engine_responses_omit_shard_fields(self):
+    def test_one_shard_responses_carry_shard_zero(self):
         async def run():
             server = ServeServer(cluster_cfg(shards=1), EXP)
             await server.start()
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port)
-            txn = make_single_shard_txns(1, shards=3)[0]
+            # Cross-shard on three shards; one shard owns every key.
+            txn = make_cross_txns(1, shards=3)[0]
             writer.write(encode_frame(
                 {"type": "submit", "id": 1, "txn": txn_to_wire(txn)}))
             await writer.drain()
             frame = decode_frame(await reader.readline(), SERVER_FRAMES)
             assert frame["status"] == STATUS_COMMITTED
-            assert "shard" not in frame
-            assert "cross_shard" not in frame
+            assert frame["shard"] == 0
+            assert frame["cross_shard"] is False
             writer.close()
             await writer.wait_closed()
             await server.stop()
@@ -216,19 +216,85 @@ class TestClusterDrain:
 
 
 class TestClusterConfig:
-    def test_single_shard_config_is_rejected(self):
-        with pytest.raises(ConfigError):
-            ClusterServer(cluster_cfg(shards=1), EXP)
+    def test_one_and_three_shard_configs_build(self):
+        one = ServeServer(cluster_cfg(shards=1), EXP)
+        three = ServeServer(cluster_cfg(shards=3), EXP)
+        assert [len(one.shards), len(three.shards)] == [1, 3]
+        # One shard runs in the server's process; N shards get workers.
+        assert (one.shard_mode, three.shard_mode) == ("inline", "process")
 
     def test_span_tracing_is_rejected(self):
         with pytest.raises(ConfigError):
-            ClusterServer(cluster_cfg(), EXP, trace_path="/tmp/x.jsonl")
+            ServeServer(cluster_cfg(), EXP, trace_path="/tmp/x.jsonl")
 
     def test_unknown_shard_mode_is_rejected(self):
         with pytest.raises(ConfigError):
-            ClusterServer(cluster_cfg(), EXP, shard_mode="thread")
+            ServeServer(cluster_cfg(), EXP, shard_mode="thread")
 
     def test_fault_naming_missing_shard_is_rejected(self):
         with pytest.raises(ConfigError):
-            ClusterServer(cluster_cfg(), EXP,
-                          shard_faults=[ShardFailStop(shard=7)])
+            ServeServer(cluster_cfg(), EXP,
+                        shard_faults=[ShardFailStop(shard=7)])
+
+
+class TestStageStamps:
+    def test_inline_three_shard_spans_have_ordered_stage_windows(self):
+        async def run():
+            server = await start_cluster(cluster_cfg())
+            txns = (make_single_shard_txns(90, shards=3)
+                    + make_cross_txns(30, shards=3))
+            report = await run_loadgen("127.0.0.1", server.port, txns,
+                                       clients=8, mode="closed", seed=0,
+                                       drain=True)
+            await server.stop()
+            return server, report
+
+        server, report = asyncio.run(run())
+        assert report.committed == 120
+        for span in server.spans:
+            assert (span.sched_start <= span.sched_end
+                    <= span.exec_start <= span.exec_end)
+        single = [s for s in server.spans if not s.cross]
+        assert single and any(s.cross for s in server.spans)
+        # The worker's own stamps: scheduling has a real width.
+        assert all(s.sched_end > s.sched_start for s in single)
+
+    def test_committed_responses_carry_a_schedule_latency(self):
+        async def run():
+            server = await start_cluster(cluster_cfg(epoch_max_ms=20.0))
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            frames = []
+            for i, txn in enumerate(make_single_shard_txns(6, shards=3)):
+                writer.write(encode_frame(
+                    {"type": "submit", "id": i, "txn": txn_to_wire(txn)}))
+                await writer.drain()
+                frames.append(
+                    decode_frame(await reader.readline(), SERVER_FRAMES))
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+            return frames
+
+        for frame in asyncio.run(run()):
+            assert frame["status"] == STATUS_COMMITTED
+            assert frame["cross_shard"] is False
+            assert frame["latency_ms"]["schedule"] > 0
+
+
+class TestRouteMap:
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_route_map_is_empty_after_a_drained_session(self, shards):
+        async def run():
+            server = await start_cluster(cluster_cfg(shards=shards))
+            txns = (make_single_shard_txns(60, shards=3)
+                    + make_cross_txns(30, shards=3))
+            report = await run_loadgen("127.0.0.1", server.port, txns,
+                                       clients=8, mode="closed", seed=0,
+                                       drain=True)
+            await server.stop()
+            return server, report
+
+        server, report = asyncio.run(run())
+        assert report.committed == 90
+        assert server._routes == {}

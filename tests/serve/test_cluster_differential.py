@@ -31,7 +31,6 @@ from repro.common.config import (
 )
 from repro.serve import (
     STATUS_COMMITTED,
-    ClusterServer,
     ServeServer,
     ShardRouter,
     replay_cluster,
@@ -86,7 +85,7 @@ class TestSingleShardTopologyDifferential:
         async def run():
             txns = make_single_shard_txns(240, shards=3)
 
-            cluster = ClusterServer(serve_cfg(3), EXP, shard_mode="inline")
+            cluster = ServeServer(serve_cfg(3), EXP, shard_mode="inline")
             await cluster.start()
             rep_c = await run_loadgen("127.0.0.1", cluster.port, txns,
                                       clients=8, mode="closed", seed=0,
@@ -125,7 +124,7 @@ class TestCrossMixReplayDeterminism:
     def test_live_cross_mix_replays_bit_identically_twice(self):
         async def run():
             serve = serve_cfg(3)
-            cluster = ClusterServer(serve, EXP, shard_mode="inline")
+            cluster = ServeServer(serve, EXP, shard_mode="inline")
             await cluster.start()
             txns = mixed_cross_workload()
             report = await run_loadgen("127.0.0.1", cluster.port, txns,

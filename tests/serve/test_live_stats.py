@@ -90,7 +90,8 @@ class TestEnrichedStatsFrame:
         # New telemetry blocks.
         assert stats["window"]["n"] > 0
         assert stats["window"]["p99"] >= stats["window"]["p50"] > 0
-        assert set(stats["pipeline"]) == {"in_flight", "depth", "staged"}
+        assert set(stats["pipeline"]) == {"in_flight", "staged"}
+        assert stats["shards"]["count"] == 1
         assert stats["admission"]["queue_limit"] == serve_queue_limit()
         assert stats["admission"]["pending"] == 0
         assert sum(stats["epochs_by_reason"].values()) \
@@ -134,14 +135,14 @@ class TestRenderDashboard:
             "end_cycles": 123_456,
             "window": {"window_s": 30.0, "n": 85, "rate_per_s": 6.8,
                        "p50": 12.0, "p95": 30.0, "p99": 41.5},
-            "pipeline": {"in_flight": 1, "depth": 2, "staged": 1},
+            "pipeline": {"in_flight": 1, "staged": 1},
             "admission": {"pending": 5, "queue_limit": 10, "rejected": 10},
             "epochs_by_reason": {"size": 4, "deadline": 3},
             "metrics": {"counters": {"serve.committed": 85}},
         }
         text = render_dashboard(stats)
         assert "p50/p95/p99 = 12.0/30.0/41.5 ms" in text
-        assert "1 in flight (depth 2, 1 staged)" in text
+        assert "1 in flight, 1 staged" in text
         assert "size=4" in text and "deadline=3" in text
         assert "serve.committed" in text
 

@@ -1,4 +1,4 @@
-"""Epoch executor determinism, replay equivalence, stage overlap."""
+"""Epoch executor determinism, replay equivalence, shard stage stamps."""
 
 import asyncio
 import time
@@ -13,9 +13,9 @@ from repro.common.config import (
     YcsbConfig,
 )
 from repro.serve import (
-    EpochBatcher,
     EpochExecutor,
-    EpochPipeline,
+    InlineShard,
+    ServeServer,
     Submission,
     make_servable_system,
     replay_epochs,
@@ -117,56 +117,45 @@ class TestLeastLoadedAssignment:
 
 
 class TestPipelineOverlap:
-    def run_pipeline(self, pipeline_depth=1, n_epochs=5, per_epoch=150):
+    """What is left of the old two-stage overlap: one shard runs its
+    epochs one at a time, schedule then execute, in id order."""
+
+    def run_shard(self, n_epochs=5, per_epoch=150):
         async def run():
-            serve = ServeConfig(system="tskd-0", epoch_max_txns=per_epoch,
-                                epoch_max_ms=60_000.0,
-                                pipeline_depth=pipeline_depth)
-            executor = EpochExecutor(serve, EXP)
-            batcher = EpochBatcher(serve.epoch_max_txns, serve.epoch_max_ms)
-            pipeline = EpochPipeline(executor, batcher,
-                                     pipeline_depth=pipeline_depth)
+            shard = InlineShard(0, ServeConfig(system="tskd-0"), EXP)
+            shard.start()
             gen = YcsbGenerator(YcsbConfig(num_records=2_000, theta=0.9,
                                            ops_per_txn=6), seed=4)
-            for i, t in enumerate(gen.make_workload(n_epochs * per_epoch)):
-                batcher.put(Submission(tid=t.tid, req_id=i, txn=t,
-                                       submitted_at=time.monotonic()))
-            batcher.shutdown()
-            await pipeline.run()
-            return pipeline.spans
+            txns = list(gen.make_workload(n_epochs * per_epoch))
+            futs = [shard.begin_epoch(i, txns[i * per_epoch:
+                                              (i + 1) * per_epoch])
+                    for i in range(n_epochs)]
+            results = await asyncio.gather(*futs)
+            await shard.stop()
+            return results
         return asyncio.run(run())
 
     def test_epochs_execute_in_order(self):
-        spans = self.run_pipeline()
-        assert [s.epoch_id for s in spans] == list(range(len(spans)))
-        for prev, cur in zip(spans, spans[1:]):
-            assert cur.exec_start >= prev.exec_end
-
-    def test_scheduling_overlaps_execution(self):
-        # The acceptance criterion: with back-to-back epochs, epoch N+1's
-        # scheduling runs while epoch N executes.
-        spans = self.run_pipeline()
-        overlapped = sum(
-            1 for prev, cur in zip(spans, spans[1:])
-            if cur.sched_start < prev.exec_end
-        )
-        assert overlapped >= 1
+        results = self.run_shard()
+        assert [r.epoch_id for r in results] == list(range(len(results)))
+        for prev, cur in zip(results, results[1:]):
+            assert cur.sched_start >= prev.exec_end
 
     def test_stage_spans_are_well_formed(self):
-        for s in self.run_pipeline(n_epochs=3):
-            assert s.sched_start <= s.sched_end <= s.exec_start <= s.exec_end
-            assert s.committed == s.size
-            assert s.tids is None  # not recorded unless asked
+        for r in self.run_shard(n_epochs=3):
+            assert r.sched_start < r.sched_end <= r.exec_start < r.exec_end
+            assert len(r.attempts) == 150
+            assert r.levers is None  # prediction off
 
 
 class TestPipelineResolution:
     def test_futures_resolve_with_outcomes(self):
         async def run():
-            serve = ServeConfig(system="dbcc", epoch_max_txns=10,
-                                epoch_max_ms=60_000.0)
-            executor = EpochExecutor(serve, EXP)
-            batcher = EpochBatcher(serve.epoch_max_txns, serve.epoch_max_ms)
-            pipeline = EpochPipeline(executor, batcher, record_tids=True)
+            serve = ServeConfig(port=0, system="dbcc", epoch_max_txns=10,
+                                epoch_max_ms=60_000.0,
+                                record_epoch_tids=True)
+            server = ServeServer(serve, EXP)
+            await server.start()
             gen = YcsbGenerator(YcsbConfig(num_records=500, theta=0.8,
                                            ops_per_txn=4), seed=9)
             loop = asyncio.get_running_loop()
@@ -174,16 +163,17 @@ class TestPipelineResolution:
             for i, t in enumerate(gen.make_workload(30)):
                 fut = loop.create_future()
                 futures.append((t.tid, fut))
-                batcher.put(Submission(tid=t.tid, req_id=i, txn=t,
-                                       submitted_at=time.monotonic(),
-                                       future=fut))
-            batcher.shutdown()
-            await pipeline.run()
+                server._route(Submission(tid=t.tid, req_id=i, txn=t,
+                                         submitted_at=time.monotonic(),
+                                         future=fut))
+            await server.stop()
             for tid, fut in futures:
                 outcome = fut.result()
                 assert outcome.tid == tid
                 assert outcome.attempts >= 1
                 assert outcome.queue_s >= 0
-            assert [s.tids is not None for s in pipeline.spans] == \
-                   [True] * len(pipeline.spans)
+                assert outcome.schedule_s > 0
+                assert (outcome.shard, outcome.cross_shard) == (0, False)
+            assert [s.tids is not None for s in server.spans] == \
+                   [True] * len(server.spans)
         asyncio.run(run())

@@ -1,4 +1,4 @@
-"""Adaptive serving end to end: policy in the pipeline, artifact, stats."""
+"""Adaptive serving end to end: policy in the shard, artifact, stats."""
 
 import asyncio
 
@@ -11,7 +11,13 @@ from repro.common.config import (
     YcsbConfig,
 )
 from repro.obs import load_artifact, validate_serve_artifact
-from repro.serve import ServeServer, run_loadgen
+from repro.serve import (
+    ServeServer,
+    replay_epochs,
+    run_loadgen,
+    txn_from_wire,
+    txn_to_wire,
+)
 from repro.serve.protocol import SERVER_FRAMES, decode_frame, encode_frame
 
 
@@ -102,8 +108,41 @@ class TestAdaptiveServe:
             report = await run_loadgen("127.0.0.1", server.port,
                                        make_txns(120, seed=5), clients=8,
                                        mode="closed", seed=5, drain=True)
-            policy = server._admission_policy()
+            policy = server.policy
             assert policy.commits_observed == report.committed == 120
             assert policy.sketch.updates > 0
             await server.stop()
         asyncio.run(run())
+
+    def test_predict_levers_match_the_replayed_shard_policy(self, tmp_path):
+        """The artifact's lever fields come from the shard's own policy:
+        replaying the recorded epochs reproduces them exactly."""
+        path = tmp_path / "adaptive.json"
+        serve = ServeConfig(port=0, system="tskd-0", epoch_max_txns=16,
+                            epoch_max_ms=30.0, record_epoch_tids=True)
+        exp = adaptive_exp()
+        txns = make_txns(240, seed=11)
+
+        async def run():
+            server = ServeServer(serve, exp, export_path=str(path))
+            await server.start()
+            report = await run_loadgen("127.0.0.1", server.port, txns,
+                                       clients=8, mode="closed", seed=11,
+                                       drain=True)
+            await server.stop()
+            return report
+
+        report = asyncio.run(run())
+        assert report.committed == 240
+        doc = load_artifact(path)
+        by_tid = {r.tid: txn_from_wire(txn_to_wire(txns[r.req_id]), tid=r.tid)
+                  for r in report.records}
+        epochs = [[by_tid[t] for t in e["tids"]] for e in doc["epochs"]]
+        executor, _ = replay_epochs(serve, exp, epochs)
+        replayed = executor.policy.snapshot()
+        levers = ("steer_reorders", "defer_boosts", "drift_events", "knobs",
+                  "retunes")
+        assert {k: doc["predict"][k] for k in levers} == \
+            {k: replayed[k] for k in levers}
+        # The session really exercised a lever.
+        assert replayed["defer_boosts"] + replayed["steer_reorders"] > 0
