@@ -139,30 +139,6 @@ class ProgressTable:
             got = items
         return got
 
-    def _observed_txns(self, j: int, future_depth: int,
-                       now: int = 0) -> list[Transaction]:
-        """Transactions of thread j a probe may observe (headp onward)."""
-        txn = self._current[j]
-        # Corruption windows force the stale read *without* consuming a
-        # draw from the staleness stream, so runs outside windows (and
-        # all runs without an oracle) see the unperturbed stream.
-        if self._corrupt is not None and self._corrupt(now):
-            txn = self._previous[j]
-            self.corrupted_observations += 1
-        elif txn is not None and self._rng.chance(self._stale_prob):
-            txn = self._previous[j]
-            self.stale_observations += 1
-        elif txn is None and self._rng.chance(self._stale_prob):
-            txn = self._previous[j]
-            self.stale_observations += 1
-        observed = [] if txn is None else [txn]
-        if future_depth > 1 and self._buffer_reader is not None:
-            # islice, not list(): the remote buffer is a whole thread's
-            # backlog and the window only ever needs its first few items.
-            upcoming = self._buffer_reader(j)
-            observed.extend(islice(upcoming, future_depth - 1))
-        return observed
-
     def probe(
         self,
         requester: int,
@@ -201,16 +177,16 @@ class ProgressTable:
         now: int,
     ) -> list[Key]:
         # One probe space per remote thread: the visible write sets of its
-        # observed transactions (headp plus bounded future), so the probe
-        # budget does not grow with future_depth.  This is the engine's
-        # hottest non-loop path (every TsDEFER dispatch probes every
-        # remote thread), so both passes below are hand-inlined versions
-        # of :meth:`_observed_txns` / ``random.sample`` with two
-        # invariants: the RNG draw stream is bit-identical to the
-        # original code (one staleness draw per remote thread first, then
-        # the sample draws per non-empty space, in thread order), and the
-        # linearised item order matches the old concatenated-list
-        # construction without copying keys.
+        # observed transactions (the one at headp, or the previous one on
+        # a stale or corrupted read, plus up to future_depth - 1 queued
+        # ones), so the probe budget does not grow with future_depth.
+        # This is the engine's hottest non-loop path (every TsDEFER
+        # dispatch probes every remote thread), so both passes below
+        # inline the observation window and ``random.sample`` with two
+        # invariants: the RNG draw stream is one staleness draw per
+        # remote thread first, then the sample draws per non-empty space,
+        # in thread order; and items are linearised in the order of the
+        # spaces' concatenated write sets, without copying keys.
         rng = self._rng
         uniform = rng._r.random
         getrandbits = rng._r.getrandbits

@@ -52,7 +52,7 @@ progress_table.probe        Section 5 lookup probes
 faults.apply                injected-fault application
 obs.trace                   tracer emission (tracing's own cost)
 bench.warmup                history-cost warm-up before the run
-bench.graph                 conflict-graph construction
+bench.graph                 static TSKD conflict-graph construction
 bench.schedule              TSKD prepare / partitioner partition
 ==========================  ============================================
 """

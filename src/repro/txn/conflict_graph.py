@@ -1,15 +1,18 @@
 """The conflict graph G_c of a workload (Section 2.1 / Section 4).
 
 Nodes are transactions; an undirected edge joins every conventionally
-conflicting pair.  Partitioners build this graph (Schism cuts it, Strife
-clusters its data-item projection) and TSgen re-uses it to look up the
-neighbours of residual transactions, so construction cost is shared —
-exactly the re-use the paper describes.
+conflicting pair.  TsPAR builds it once per planned bundle: residual
+extraction cuts its cross-partition edges and TSgen re-uses it to look
+up the neighbours of residual transactions, so construction cost is
+shared — exactly the re-use the paper describes.
 
-The graph is backed by an inverted index (key -> readers / writers) with
-per-node neighbour caching, which keeps construction linear in the total
-access-set size and avoids materialising the quadratic edge set for hot
-keys unless a caller iterates all edges.
+The graph is backed by an inverted index (key -> readers / writers),
+which keeps construction linear in the total access-set size.
+:meth:`ConflictGraph.neighbors` caches each node's *full* neighbourhood
+on first use, so a walk costs the node's degree in the whole graph and
+the cache grows with every node touched.  A graph must therefore not
+outlive the bundle it plans: an epoch planned over a larger bundle's
+graph walks, and caches, every neighbour outside the epoch too.
 """
 
 from __future__ import annotations

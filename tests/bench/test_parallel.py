@@ -80,6 +80,15 @@ class TestDeterminism:
         _cache, (s1, _r1), _ = fig5a_runs
         assert s1.to_payload() == run_experiment("fig5a", TINY).to_payload()
 
+    def test_abl_adaptive_jobs2_matches_sequential(self):
+        """Epoched adaptive cells build their graphs per epoch, so pooled
+        workers and the sequential loop plan from identical inputs."""
+        sequential = run_experiment("abl_adaptive", TINY)
+        cells, r = run_experiment_cells("abl_adaptive", TINY, jobs=2)
+        assert r.failed == []
+        assert r.total_cells == 8  # 4 workload/policy x 2 seeds
+        assert cells.to_payload() == sequential.to_payload()
+
     def test_run_experiment_jobs_kwarg_routes_to_executor(self):
         series = run_experiment("fig5a", TINY, jobs=1)
         assert series.to_payload() == run_experiment("fig5a", TINY).to_payload()
