@@ -179,6 +179,29 @@ def fnv_hash64(value: int) -> int:
     return h
 
 
+def fnv_row_indices(fps: Sequence[int], salts: Sequence[int], width: int):
+    """``fnv_hash64(fp ^ salt) % width`` for every (fp, salt) pair at once.
+
+    Returns a ``len(fps) x len(salts)`` numpy ``uint64`` array.  It is the
+    same byte-wise FNV-1a as :func:`fnv_hash64`, run down whole columns:
+    numpy's ``uint64`` multiply wraps modulo 2**64, which is exactly the
+    ``& 0xFFFFFFFFFFFFFFFF`` mask of the scalar loop.
+    """
+    import numpy as np
+
+    v = (np.asarray(fps, dtype=np.uint64)[:, None]
+         ^ np.asarray(salts, dtype=np.uint64)[None, :])
+    h = np.full(v.shape, _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    low = np.uint64(0xFF)
+    eight = np.uint64(8)
+    for _ in range(8):
+        h ^= v & low
+        h *= prime
+        v >>= eight
+    return h % np.uint64(width)
+
+
 def zipf_bounded(rng: Rng, lo: float, hi: float, theta: float, buckets: int = 64) -> float:
     """Draw from a Zipf-shaped distribution over the continuous range [lo, hi].
 

@@ -21,28 +21,57 @@ add — and decay is monotone, so :meth:`estimate` after :meth:`decay` is
 never larger than before.  The property suite in
 ``tests/property/test_prop_sketch.py`` pins all of this down.
 
+Updates are buffered and folded in batches: :meth:`update` only appends
+the key, and every read (:meth:`estimate`, :meth:`decay`, :meth:`merge`,
+:meth:`hot_items`, :meth:`total_mass`, :attr:`updates`) first folds the
+pending keys in arrival order.  The fold hashes all of them in one
+vectorised pass (:func:`~repro.common.rng.fnv_row_indices`) and then
+applies the float adds and candidate bookkeeping one key at a time,
+exactly as an eager update would, so every estimate and candidate set is
+bit-identical to folding each key on arrival.
+
 Because a sketch cannot enumerate its keys, heat reporting keeps a small
 deterministic *candidate set*: any key whose estimate reaches
-``CANDIDATE_MIN`` on update is remembered (up to ``hot_capacity``,
+``CANDIDATE_MIN`` as its update folds is remembered (up to ``hot_capacity``,
 evicting the coldest), and :meth:`top_k` re-estimates candidates on
 demand.  Truly hot keys repeat, so they always enter the candidate set.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Hashable, Iterable
 
 from ..common.errors import ConfigError
-from ..common.rng import Rng, fnv_hash64
+from ..common.rng import (
+    _FNV_OFFSET,
+    _FNV_PRIME,
+    Rng,
+    fnv_hash64,
+    fnv_row_indices,
+)
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 #: Estimate at which a key becomes a heat-reporting candidate.  2.0 means
 #: a key must repeat within the decay horizon; one-off cold keys skip the
-#: candidate bookkeeping entirely, keeping update() cheap on the tail.
+#: candidate bookkeeping entirely, keeping the fold cheap on the tail.
 CANDIDATE_MIN = 2.0
+
+
+def _fnv1a(h: int, data: bytes) -> int:
+    """Continue an FNV-1a hash from state ``h`` over ``data``."""
+    for b in data:
+        h ^= b
+        h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
+@lru_cache(maxsize=256)
+def _table_prefix(table: str) -> int:
+    """FNV state after ``"('<table>', "``: the shared repr prefix of every
+    ``(table, pk)`` record key (bounded: a few tables in practice)."""
+    return _fnv1a(_FNV_OFFSET, f"({table!r}, ".encode("utf-8"))
 
 
 def key_fingerprint(key: Hashable) -> int:
@@ -52,12 +81,16 @@ def key_fingerprint(key: Hashable) -> int:
     ``repr`` of the int/str/tuple record keys the workloads use is a pure
     value function, so the fingerprint — and every sketch estimate — is
     bit-identical wherever it is computed.
+
+    FNV-1a streams, and ``repr((t, pk))`` is ``"(" + repr(t) + ", " +
+    repr(pk) + ")"`` for an exact 2-tuple with an exact ``str`` head, so
+    such record keys resume from the cached state of their table's prefix
+    and hash only ``repr(pk) + ")"``.  Every other key (namedtuple,
+    ``str`` subclass, other arity) hashes its whole ``repr``.
     """
-    h = _FNV_OFFSET
-    for b in repr(key).encode("utf-8"):
-        h ^= b
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
+    if type(key) is tuple and len(key) == 2 and type(key[0]) is str:
+        return _fnv1a(_table_prefix(key[0]), f"{key[1]!r})".encode("utf-8"))
+    return _fnv1a(_FNV_OFFSET, repr(key).encode("utf-8"))
 
 
 class DecayedCountMinSketch:
@@ -87,47 +120,79 @@ class DecayedCountMinSketch:
         self.salts = tuple(
             rng.fork(d + 1).randint(0, (1 << 62) - 1) for d in range(depth)
         )
-        self.rows: list[list[float]] = [
+        self._rows: list[list[float]] = [
             [0.0] * width for _ in range(depth)
         ]
-        #: key -> fingerprint, for keys whose estimate reached
-        #: CANDIDATE_MIN; capped at hot_capacity by coldest-first eviction.
-        self._candidates: dict[Hashable, int] = {}
-        self.updates = 0
+        #: key -> (fingerprint, row indices), for keys whose estimate
+        #: reached CANDIDATE_MIN; capped at hot_capacity by coldest-first
+        #: eviction.
+        self._candidates: dict[Hashable, tuple[int, tuple[int, ...]]] = {}
+        #: Updates not yet folded into the rows, in arrival order.
+        self._pending: list[Hashable] = []
+        self._amounts: list[float] = []
+        self._updates = 0
         self.decays = 0
 
     # -- core sketch operations -------------------------------------------
-    def _indices(self, fp: int) -> list[int]:
-        w = self.width
-        return [fnv_hash64(fp ^ salt) % w for salt in self.salts]
-
-    def update(self, key: Hashable, amount: float = 1.0) -> float:
-        """Add ``amount`` to the key's cells; returns the new estimate."""
-        fp = key_fingerprint(key)
-        est = None
-        for row, i in zip(self.rows, self._indices(fp)):
-            v = row[i] + amount
-            row[i] = v
-            if est is None or v < est:
-                est = v
-        self.updates += 1
-        if est >= CANDIDATE_MIN and key not in self._candidates:
-            self._candidates[key] = fp
-            if len(self._candidates) > self.hot_capacity:
-                self._evict_coldest()
-        return est
+    def update(self, key: Hashable, amount: float = 1.0) -> None:
+        """Queue ``amount`` for the key's cells; folded before any read."""
+        self._pending.append(key)
+        self._amounts.append(amount)
 
     def update_many(self, keys: Iterable[Hashable]) -> None:
-        for key in keys:
-            self.update(key)
+        before = len(self._pending)
+        self._pending.extend(keys)
+        self._amounts.extend([1.0] * (len(self._pending) - before))
+
+    def _fold(self) -> None:
+        """Apply the pending updates in arrival order (one hashing pass)."""
+        keys = self._pending
+        if not keys:
+            return
+        amounts = self._amounts
+        self._pending = []
+        self._amounts = []
+        fps = [key_fingerprint(key) for key in keys]
+        # One column list per row (not one list per key): the fold then
+        # allocates a handful of objects, not one per update.
+        columns = fnv_row_indices(fps, self.salts, self.width).T.tolist()
+        rows = self._rows
+        candidates = self._candidates
+        for key, fp, idx, amount in zip(keys, fps, zip(*columns), amounts):
+            est = None
+            for row, i in zip(rows, idx):
+                v = row[i] + amount
+                row[i] = v
+                if est is None or v < est:
+                    est = v
+            if est >= CANDIDATE_MIN and key not in candidates:
+                candidates[key] = (fp, idx)
+                if len(candidates) > self.hot_capacity:
+                    self._evict_coldest()
+        self._updates += len(keys)
+
+    @property
+    def rows(self) -> list[list[float]]:
+        """The cell rows, with every pending update folded in."""
+        self._fold()
+        return self._rows
+
+    @property
+    def updates(self) -> int:
+        """Number of updates seen (pending ones are folded first)."""
+        self._fold()
+        return self._updates
 
     def estimate(self, key: Hashable) -> float:
         """Upper-bound estimate of the key's decayed count (never under)."""
-        return self._estimate_fp(key_fingerprint(key))
+        self._fold()
+        fp = key_fingerprint(key)
+        w = self.width
+        return self._estimate_at([fnv_hash64(fp ^ s) % w for s in self.salts])
 
-    def _estimate_fp(self, fp: int) -> float:
+    def _estimate_at(self, idx) -> float:
         est = None
-        for row, i in zip(self.rows, self._indices(fp)):
+        for row, i in zip(self._rows, idx):
             v = row[i]
             if est is None or v < est:
                 est = v
@@ -140,17 +205,18 @@ class DecayedCountMinSketch:
         not accumulate denormals; candidates whose estimate fell below
         1.0 are forgotten (deterministically, by insertion order).
         """
+        self._fold()
         f = self.decay_factor
         if f < 1.0:
-            for row in self.rows:
+            for row in self._rows:
                 for i, v in enumerate(row):
                     if v:
                         v *= f
                         row[i] = v if v > 1e-9 else 0.0
         self.decays += 1
         if self._candidates:
-            cold = [k for k, fp in self._candidates.items()
-                    if self._estimate_fp(fp) < 1.0]
+            cold = [k for k, (_, idx) in self._candidates.items()
+                    if self._estimate_at(idx) < 1.0]
             for k in cold:
                 del self._candidates[k]
 
@@ -167,22 +233,25 @@ class DecayedCountMinSketch:
                 f"{self.width}x{self.depth}")
         if other.salts != self.salts:
             raise ConfigError("cannot merge sketches with different salts")
-        for mine, theirs in zip(self.rows, other.rows):
+        self._fold()
+        other._fold()
+        for mine, theirs in zip(self._rows, other._rows):
             for i, v in enumerate(theirs):
                 if v:
                     mine[i] += v
-        self.updates += other.updates
-        for key, fp in other._candidates.items():
+        self._updates += other._updates
+        for key, entry in other._candidates.items():
             if key not in self._candidates:
-                self._candidates[key] = fp
+                self._candidates[key] = entry
         while len(self._candidates) > self.hot_capacity:
             self._evict_coldest()
 
     # -- heat reporting ----------------------------------------------------
     def _evict_coldest(self) -> None:
+        est = self._estimate_at
         victim = min(
             self._candidates.items(),
-            key=lambda kv: (self._estimate_fp(kv[1]), kv[1], repr(kv[0])),
+            key=lambda kv: (est(kv[1][1]), kv[1][0], repr(kv[0])),
         )
         del self._candidates[victim[0]]
 
@@ -192,11 +261,14 @@ class DecayedCountMinSketch:
         Order is deterministic: descending estimate, then fingerprint,
         then ``repr`` as the final tiebreak.
         """
-        return sorted(
-            ((key, self._estimate_fp(fp))
-             for key, fp in self._candidates.items()),
-            key=lambda kv: (-kv[1], key_fingerprint(kv[0]), repr(kv[0])),
+        self._fold()
+        est = self._estimate_at
+        ranked = sorted(
+            ((key, est(idx), fp)
+             for key, (fp, idx) in self._candidates.items()),
+            key=lambda t: (-t[1], t[2], repr(t[0])),
         )
+        return [(key, e) for key, e, _ in ranked]
 
     def top_k(self, n: int) -> list[tuple[Hashable, float]]:
         """The ``n`` hottest tracked keys with their estimates."""
@@ -204,4 +276,5 @@ class DecayedCountMinSketch:
 
     def total_mass(self) -> float:
         """Sum of one row's cells — total decayed write volume seen."""
-        return sum(self.rows[0])
+        self._fold()
+        return sum(self._rows[0])
